@@ -329,9 +329,6 @@ class ExpressionFactory:
                     break
                 try:
                     new_value = self._eval_template(template, value)
-                    new_others = [
-                        self._eval_template(template, other) for other in others
-                    ]
                 except CypherError:
                     continue
                 # The wrapped access ends up in an equality predicate, so
@@ -340,12 +337,15 @@ class ExpressionFactory:
                 # Cypher, which would silently drop the intended match.
                 if V.ternary_equals(new_value, new_value) is not True:
                     continue
-                target_key = V.equivalence_key(new_value)
-                other_keys = {
-                    V.equivalence_key(other) for other in new_others
-                }
-                if target_key in other_keys:
-                    continue  # template cannot differentiate S1 from S2
+                # Reject at the first competitor that errors or collides
+                # (the template cannot differentiate S1 from S2).
+                # Evaluation draws no randomness, so stopping early keeps
+                # the decision and the RNG stream unchanged.
+                new_others = self._separate(
+                    template, V.equivalence_key(new_value), others
+                )
+                if new_others is None:
+                    continue
                 expr = template(expr)
                 value = new_value
                 others = new_others
@@ -360,6 +360,21 @@ class ExpressionFactory:
     def _eval_template(self, template: _Template, value: Any) -> Any:
         """Evaluate a template instantiated with a concrete value."""
         return self._evaluator.evaluate(template(_lit(value)), {})
+
+    def _separate(
+        self, template: _Template, target_key: Any, others: Sequence[Any]
+    ) -> Optional[List[Any]]:
+        """*template* applied to *others*, or None if one errors or collides."""
+        new_others = []
+        for other in others:
+            try:
+                new_other = self._eval_template(template, other)
+            except CypherError:
+                return None
+            if V.equivalence_key(new_other) == target_key:
+                return None
+            new_others.append(new_other)
+        return new_others
 
     def _pick_template(self, value_type: str) -> Optional[_Template]:
         """Draw a wrapping template accepting a parameter of *value_type*."""

@@ -437,7 +437,15 @@ class PatternBuilder:
         where_terms: List[ast.Expression],
         match_budget: int = 64,
     ) -> int:
-        """Add pin predicates until the patterns match exactly one subgraph."""
+        """Add pin predicates until the patterns match exactly one subgraph.
+
+        A pin is applied by binding the variable in the matcher's row
+        (equivalent to the predicate, but cheaper).  The matcher is a
+        fixed-order DFS, so binding one variable only restricts one loop:
+        when the previous round's list was complete (under *match_budget*),
+        filtering it gives exactly what re-matching would, in the same
+        order.  Only a list truncated at the budget is matched again.
+        """
         row = {
             var: value
             for var, value in scope.items()
@@ -445,20 +453,29 @@ class PatternBuilder:
         }
         pinned: Set[str] = set()
         pin_count = 0
+        matches = list(
+            itertools.islice(self._matcher.match(patterns, row), match_budget)
+        )
 
         while True:
-            matches = list(
-                itertools.islice(self._matcher.match(patterns, row), match_budget)
-            )
             ambiguous = self._ambiguous_variable(matches, bindings, pinned)
             if ambiguous is None:
                 break
-            where_terms.append(self._pin_predicate(ambiguous, bindings[ambiguous]))
+            intended = bindings[ambiguous]
+            where_terms.append(self._pin_predicate(ambiguous, intended))
             pinned.add(ambiguous)
             pin_count += 1
-            # Apply the pin by binding the variable directly for the next
-            # matcher round (equivalent to the predicate, but cheaper).
-            row[ambiguous] = bindings[ambiguous]
+            row[ambiguous] = intended
+            if len(matches) < match_budget:
+                matches = [
+                    match for match in matches
+                    if type(match.get(ambiguous)) is type(intended)
+                    and match[ambiguous].id == intended.id
+                ]
+            else:
+                matches = list(itertools.islice(
+                    self._matcher.match(patterns, row), match_budget
+                ))
         return pin_count
 
     def _ambiguous_variable(

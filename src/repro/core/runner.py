@@ -113,43 +113,36 @@ class GQSTester(TesterProtocol):
         result: CampaignResult,
     ) -> Judgement:
         """Step 4: execute and validate against the established ground truth."""
-        query_text = print_query(synthesis.query)
         result.sim_seconds += engine.cost_of(synthesis.query)
 
-        report: Optional[BugReport] = None
+        kind: Optional[str] = None
         try:
             actual = engine.execute(synthesis.query)
         except (DatabaseCrash, ResourceExhausted, CypherError) as exc:
             # Step 4 (error case): crashes/hangs/exceptions are detected at
             # no extra oracle cost.
-            fault = engine.last_fired_fault
-            report = BugReport(
-                tester=self.name,
-                engine=engine.name,
-                kind="error",
-                detail=f"{type(exc).__name__}: {exc}",
-                query_text=query_text,
-                fault_id=fault.fault_id if fault else None,
-                sim_time=result.sim_seconds,
-                n_steps=synthesis.n_steps,
-            )
+            kind, detail = "error", f"{type(exc).__name__}: {exc}"
         else:
             verdict = check_result(synthesis.expected, actual)
             if not verdict.passed:
-                fault = engine.last_fired_fault
-                report = BugReport(
-                    tester=self.name,
-                    engine=engine.name,
-                    kind="logic",
-                    detail=verdict.reason,
-                    query_text=query_text,
-                    fault_id=fault.fault_id if fault else None,
-                    sim_time=result.sim_seconds,
-                    n_steps=synthesis.n_steps,
-                )
+                kind, detail = "logic", verdict.reason
 
-        if report is None:
+        if kind is None:
             return Judgement()
+        # Printed only for a report: the engine prints the query itself, and
+        # most judged queries file none.
+        query_text = print_query(synthesis.query)
+        fault = engine.last_fired_fault
+        report = BugReport(
+            tester=self.name,
+            engine=engine.name,
+            kind=kind,
+            detail=detail,
+            query_text=query_text,
+            fault_id=fault.fault_id if fault else None,
+            sim_time=result.sim_seconds,
+            n_steps=synthesis.n_steps,
+        )
 
         def make_trigger_record() -> Dict[str, Any]:
             metrics = analyze(synthesis.query)

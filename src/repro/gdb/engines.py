@@ -42,7 +42,6 @@ from repro.graph import values as V
 from repro.graph.model import PropertyGraph
 from repro.graph.schema import GraphSchema
 from repro.obs import PROBE
-from repro.obs.coverage import query_feature_tags
 from repro.obs.profile import PROFILE_STEP_CEILING, OperatorProfile
 
 __all__ = [
@@ -549,17 +548,13 @@ class GraphDatabase:
 
     def _plan_for(self, tree: AnyQuery, text: str):
         cache = self._plan_cache
-        key = cache.key_for_text(text)
-        if key is None:
-            key = PlanCache.fingerprint(query_feature_tags(tree), text)
-            cache.remember_text(text, key)
-        plan = cache.get(key)
+        plan = cache.get(text)
         if plan is None:
             plan = build_plan(
                 tree,
                 enforce_rel_uniqueness=self.dialect.enforces_rel_uniqueness,
             )
-            cache.put(key, plan)
+            cache.put(text, plan)
         return plan
 
     def _plan_context(self) -> ExecutionContext:

@@ -20,7 +20,6 @@ from repro.cypher import print_query
 from repro.cypher.parser import parse_query
 from repro.engine.binding import ResultSet
 from repro.engine.errors import CypherError, PlanDivergenceError
-from repro.engine.plan import PlanCache
 from repro.gdb import create_engine
 from repro.gdb.engines import EngineSpec
 from repro.graph import GraphGenerator
@@ -205,30 +204,57 @@ class TestPlanCacheKeying:
         engine.execute(text)
         assert engine._plan_cache.compiles == compiles
 
-    def test_distinct_shapes_get_distinct_fingerprints(self):
+    def test_distinct_texts_compile_separately(self):
+        engine = create_engine("falkordb", faults_enabled=False,
+                               execution_mode="compiled")
+        graph = PropertyGraph()
+        graph.add_node(["Person"], {"id": 0})
+        engine.load_graph(graph)
         texts = [
             "MATCH (a:Person) RETURN a.id",
             "MATCH (a:Person)-[r]->(b) RETURN a.id",
             "MATCH (a:Person) WHERE a.id = 3 RETURN a.id",
             "MATCH (a:Person) RETURN count(a)",
         ]
-        keys = {
-            PlanCache.fingerprint(query_feature_tags(parse_query(t)), t)
-            for t in texts
-        }
-        assert len(keys) == len(texts)
+        for count, text in enumerate(texts, start=1):
+            engine.execute(text)
+            assert engine._plan_cache.compiles == count
+        assert len(engine._plan_cache) == len(texts)
+        assert engine._plan_cache.hits == 0
 
-    def test_same_shape_different_text_does_not_collide(self):
-        # The fingerprint folds in the exact text: two queries sharing a
-        # feature shape but differing in constants must never share a plan
-        # slot (plans bake constants in at compile time).
+    def test_same_shape_different_literals_never_share_a_plan(self):
+        # Plans bake constants in at compile time: two queries sharing a
+        # feature shape but differing in a literal must each compile their
+        # own plan and return their own rows.
+        engine = create_engine("falkordb", faults_enabled=False,
+                               execution_mode="compiled")
+        graph = PropertyGraph()
+        for node_id in range(5):
+            graph.add_node(["Person"], {"id": node_id})
+        engine.load_graph(graph)
         left = "MATCH (a:Person) WHERE a.id = 3 RETURN a.id"
         right = "MATCH (a:Person) WHERE a.id = 4 RETURN a.id"
-        tags_left = query_feature_tags(parse_query(left))
-        tags_right = query_feature_tags(parse_query(right))
-        assert PlanCache.fingerprint(tags_left, left) != PlanCache.fingerprint(
-            tags_right, right
+        assert query_feature_tags(parse_query(left)) == query_feature_tags(
+            parse_query(right)
         )
+        assert engine.execute(left).rows == [(3,)]
+        assert engine.execute(right).rows == [(4,)]
+        assert engine._plan_cache.compiles == 2
+        assert engine._plan_cache.hits == 0
+        assert engine.execute(left).rows == [(3,)]
+        assert engine._plan_cache.hits == 1
+
+    def test_tree_and_its_printed_text_share_a_slot(self):
+        engine = create_engine("falkordb", faults_enabled=False,
+                               execution_mode="compiled")
+        graph = PropertyGraph()
+        graph.add_node(["Person"], {"id": 0})
+        engine.load_graph(graph)
+        tree = parse_query("MATCH (a:Person) WHERE a.id = 0 RETURN a.id")
+        engine.execute(tree)
+        engine.execute(print_query(tree))
+        assert engine._plan_cache.compiles == 1
+        assert engine._plan_cache.hits == 1
 
 
 class TestDualModeContract:

@@ -17,13 +17,15 @@ Two generators live here:
 
 from __future__ import annotations
 
+import math
 import random
 import string
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cypher import ast
 from repro.engine.errors import CypherError
-from repro.engine.evaluator import Evaluator
+from repro.engine.plan.compiler import CompiledExpr, compile_expr
+from repro.engine.plan.operators import ExecutionContext
 from repro.graph import values as V
 from repro.graph.model import PropertyGraph
 
@@ -52,11 +54,37 @@ def _lit(value: Any) -> ast.Expression:
         return ast.ListLiteral(tuple(_lit(item) for item in value))
     if isinstance(value, dict):
         return ast.MapLiteral(tuple((k, _lit(v)) for k, v in value.items()))
+    if isinstance(value, float) and not math.isfinite(value):
+        # Cypher has no literal for NaN or +-inf; the printer spells them
+        # as a division, so build that division here.  The query then
+        # parses back to the same tree, and its features (division count,
+        # depth) are the same in the campaign and on bundle replay.
+        numerator = 0.0 if value != value else math.copysign(1.0, value)
+        return ast.Binary("/", ast.Literal(numerator), ast.Literal(0.0))
     return ast.Literal(value)
+
+
+def _identical(a: Any, b: Any) -> bool:
+    """Same type and same value, recursively: stricter than
+    ``equivalence_key`` (1 is not 1.0, -0.0 is not 0.0, NaN is not NaN)."""
+    if a.__class__ is not b.__class__:
+        return False
+    if a.__class__ is float:
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    if a.__class__ is list:
+        return len(a) == len(b) and all(map(_identical, a, b))
+    if a.__class__ is dict:
+        return a.keys() == b.keys() and all(_identical(a[k], b[k]) for k in a)
+    return a == b
 
 
 # A wrapping template: given the inner expression, produce the outer one.
 _Template = Callable[[ast.Expression], ast.Expression]
+
+#: The variable a template is compiled over; each evaluation binds it to
+#: the value under test.
+_OPERAND = "operand"
+_OPERAND_VARIABLE = ast.Variable(_OPERAND)
 
 
 class ExpressionFactory:
@@ -72,7 +100,7 @@ class ExpressionFactory:
         self.rng = rng
         # Disabled for the §7 Gremlin setup, which cannot translate them.
         self.use_comprehensions = use_comprehensions
-        self._evaluator = Evaluator(graph)
+        self._context = ExecutionContext(graph)
 
     # ------------------------------------------------------------------
     # Value-constrained generation (GDsmith-style, adapted)
@@ -320,61 +348,75 @@ class ExpressionFactory:
         expr = access
         value = target_value
         others = list(competitor_values)
+        # A competitor holding exactly the target's value collides under
+        # every template (evaluation is deterministic), so every draw is
+        # rejected: the templates are still drawn, keeping the RNG stream,
+        # but none is evaluated.
+        hopeless = any(_identical(value, other) for other in others)
 
         for _level in range(depth):
-            accepted = False
             for _attempt in range(attempts_per_level):
                 template = self._pick_template(type_of_value(value))
                 if template is None:
+                    # Line 14: depth decreases regardless; with no usable
+                    # template at this type we simply stop early.
                     break
-                try:
-                    new_value = self._eval_template(template, value)
-                except CypherError:
+                if hopeless:
                     continue
-                # The wrapped access ends up in an equality predicate, so
-                # its value on the intended element must be reflexively
-                # equal to itself: `[1, null] = [1, null]` is null in
-                # Cypher, which would silently drop the intended match.
-                if V.ternary_equals(new_value, new_value) is not True:
-                    continue
-                # Reject at the first competitor that errors or collides
-                # (the template cannot differentiate S1 from S2).
-                # Evaluation draws no randomness, so stopping early keeps
-                # the decision and the RNG stream unchanged.
-                new_others = self._separate(
-                    template, V.equivalence_key(new_value), others
-                )
-                if new_others is None:
-                    continue
-                expr = template(expr)
-                value = new_value
-                others = new_others
-                accepted = True
-                break
-            if not accepted:
-                # Line 14: depth decreases regardless; with no usable
-                # template at this type we simply stop early.
-                continue
+                separated = self._separate(template, value, others)
+                if separated is not None:
+                    expr = template(expr)
+                    value, others = separated
+                    break
         return expr, value
 
-    def _eval_template(self, template: _Template, value: Any) -> Any:
-        """Evaluate a template instantiated with a concrete value."""
-        return self._evaluator.evaluate(template(_lit(value)), {})
-
     def _separate(
-        self, template: _Template, target_key: Any, others: Sequence[Any]
-    ) -> Optional[List[Any]]:
-        """*template* applied to *others*, or None if one errors or collides."""
+        self, template: _Template, value: Any, others: Sequence[Any]
+    ) -> Optional[Tuple[Any, List[Any]]]:
+        """*template*'s value on the target and on *others*, or None.
+
+        The template is compiled once over an operand variable and the
+        closure runs on each value.  Checks run in order: the target (an
+        error rejects), its reflexive equality, then each competitor,
+        rejecting at the first that errors or collides with the target (it
+        cannot differentiate S1 from S2).  Evaluation draws no randomness,
+        so stopping early keeps the decision and the RNG stream unchanged.
+        """
+        fn = compile_expr(template(_OPERAND_VARIABLE))
+        env: Dict[str, Any] = {}
+        try:
+            new_value = self._run(fn, env, value)
+        except CypherError:
+            return None
+        # The wrapped access ends up in an equality predicate, so its value
+        # on the intended element must be reflexively equal to itself:
+        # `[1, null] = [1, null]` is null in Cypher, which would silently
+        # drop the intended match.
+        if V.ternary_equals(new_value, new_value) is not True:
+            return None
+        target_key = V.equivalence_key(new_value)
         new_others = []
         for other in others:
             try:
-                new_other = self._eval_template(template, other)
+                new_other = self._run(fn, env, other)
             except CypherError:
                 return None
             if V.equivalence_key(new_other) == target_key:
                 return None
             new_others.append(new_other)
-        return new_others
+        return new_value, new_others
+
+    def _run(self, fn: CompiledExpr, env: Dict[str, Any], operand: Any) -> Any:
+        """*fn* on *operand*, resolving node references as the evaluator does."""
+        env[_OPERAND] = operand
+        value = fn(env, self._context)
+        if (
+            value.__class__ is tuple
+            and len(value) == 2
+            and value[0] == "__node_ref__"
+        ):
+            return self.graph.node(value[1])
+        return value
 
     def _pick_template(self, value_type: str) -> Optional[_Template]:
         """Draw a wrapping template accepting a parameter of *value_type*."""

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.expressions import ExpressionFactory
 from repro.cypher import ast
-from repro.engine.matcher import Matcher
+from repro.engine.plan import ExecutionContext, compile_match
 from repro.graph.model import Node, PropertyGraph, Relationship
 
 __all__ = ["GraphPath", "SynthesizedMatch", "PatternBuilder"]
@@ -127,7 +127,7 @@ class PatternBuilder:
         self.mutation_probability = mutation_probability
         self.extra_predicate_probability = extra_predicate_probability
         self.split_probability = split_probability
-        self._matcher = Matcher(graph, enforce_rel_uniqueness=True)
+        self._context = ExecutionContext(graph)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -439,10 +439,13 @@ class PatternBuilder:
     ) -> int:
         """Add pin predicates until the patterns match exactly one subgraph.
 
-        A pin is applied by binding the variable in the matcher's row
-        (equivalent to the predicate, but cheaper).  The matcher is a
-        fixed-order DFS, so binding one variable only restricts one loop:
-        when the previous round's list was complete (under *match_budget*),
+        A pin is applied by binding the variable in the match's input row
+        (equivalent to the predicate, but cheaper).  Each round runs the
+        patterns compiled once into a :class:`MatchOp`, stopped at
+        *match_budget* rows: the same rows, in the same order, as the
+        reference matcher cut at the budget.  Matching is a fixed-order
+        DFS, so binding one variable only restricts one loop: when the
+        previous round's list was complete (under *match_budget*),
         filtering it gives exactly what re-matching would, in the same
         order.  Only a list truncated at the budget is matched again.
         """
@@ -451,11 +454,10 @@ class PatternBuilder:
             for var, value in scope.items()
             if isinstance(value, (Node, Relationship))
         }
+        op = compile_match(patterns, enforce_rel_uniqueness=True)
         pinned: Set[str] = set()
         pin_count = 0
-        matches = list(
-            itertools.islice(self._matcher.match(patterns, row), match_budget)
-        )
+        matches = op.first_rows(row, self._context, match_budget)
 
         while True:
             ambiguous = self._ambiguous_variable(matches, bindings, pinned)
@@ -473,9 +475,7 @@ class PatternBuilder:
                     and match[ambiguous].id == intended.id
                 ]
             else:
-                matches = list(itertools.islice(
-                    self._matcher.match(patterns, row), match_budget
-                ))
+                matches = op.first_rows(row, self._context, match_budget)
         return pin_count
 
     def _ambiguous_variable(

@@ -343,7 +343,11 @@ class Evaluator:
                     if both_int:
                         raise CypherRuntimeError("% by zero")
                     return float("nan")
-                result = math.fmod(left, right)
+                try:
+                    result = math.fmod(left, right)
+                except ValueError:
+                    # An infinite dividend: NaN, as in Java (Neo4j).
+                    return float("nan")
                 return int(result) if both_int else result
             if op == "^":
                 try:

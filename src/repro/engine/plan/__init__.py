@@ -21,6 +21,7 @@ from repro.engine.plan.planner import (
     FallbackPlan,
     UnionPlan,
     build_plan,
+    compile_match,
 )
 
 __all__ = [
@@ -33,4 +34,5 @@ __all__ = [
     "FallbackPlan",
     "UnionPlan",
     "build_plan",
+    "compile_match",
 ]

@@ -259,6 +259,10 @@ def _rel_ok(
     return True
 
 
+class _RowCapReached(Exception):
+    """Unwinds a capped :meth:`MatchOp.first_rows` enumeration."""
+
+
 class MatchOp:
     """Fused scan → expand → filter for one MATCH clause.
 
@@ -290,8 +294,9 @@ class MatchOp:
         # exploration (but OPTIONAL padding still applies, exactly as if
         # every candidate had failed the completion-time WHERE).
         self.pre_filters = pre_filters
-        # Per-run recursion state, populated by run() (see there).
+        # Per-run recursion state, populated by run() and first_rows().
         self._ctx = self._env = self._used = self._out = None
+        self._row_cap: Optional[int] = None
 
     def run(
         self, columns: List[str], rows: List[Row], ctx: ExecutionContext
@@ -321,6 +326,35 @@ class MatchOp:
         _tally(ctx, "match", len(out_rows))
         return out_columns, out_rows
 
+    def first_rows(
+        self, row: Row, ctx: ExecutionContext, limit: int
+    ) -> List[Row]:
+        """The first *limit* rows this clause yields for the one input *row*.
+
+        Enumeration stops at the *limit*-th complete row, so for a
+        non-OPTIONAL clause the rows equal, in order,
+        ``islice(Matcher.match(patterns, row), limit)``.  The cap is checked
+        only where a complete row is emitted; :meth:`run` leaves it unset.
+        """
+        out: List[Row] = []
+        if limit < 1:
+            return out
+        self._ctx = ctx
+        self._used = set()
+        self._out = out
+        self._row_cap = limit
+        try:
+            pre_filters = self.pre_filters
+            if pre_filters is None or _filters_pass(pre_filters, row, ctx):
+                self._env = dict(row)
+                self._chain(0)
+        except _RowCapReached:
+            pass
+        finally:
+            self._ctx = self._env = self._used = self._out = None
+            self._row_cap = None
+        return out
+
     def _chain(self, chain_index: int) -> None:
         chains = self.chains
         env = self._env
@@ -337,7 +371,10 @@ class MatchOp:
                     if verdict is not None and verdict.__class__ is not bool:
                         V.coerce_to_boolean(verdict)
                     return
-            self._out.append(dict(env))
+            out = self._out
+            out.append(dict(env))
+            if len(out) == self._row_cap:
+                raise _RowCapReached
             return
 
         chain = chains[chain_index]

@@ -54,7 +54,9 @@ from repro.engine.plan.operators import (
 from repro.graph import values as V
 from repro.graph.model import PropertyGraph
 
-__all__ = ["CompiledPlan", "UnionPlan", "FallbackPlan", "build_plan"]
+__all__ = [
+    "CompiledPlan", "UnionPlan", "FallbackPlan", "build_plan", "compile_match",
+]
 
 
 class CompiledPlan:
@@ -255,6 +257,21 @@ def build_plan(query, *, enforce_rel_uniqueness: bool = True):
     )
     ordered = returning and bool(last.order_by)
     return CompiledPlan(ops, returning, ordered)
+
+
+def compile_match(
+    patterns: Tuple[ast.PathPattern, ...], *, enforce_rel_uniqueness: bool = True
+) -> MatchOp:
+    """Compile bare MATCH *patterns* (no WHERE) into a reusable operator.
+
+    The operator reads which variables are bound from each input row, so one
+    compilation serves any row; ``first_rows(row, ctx, n)`` then equals
+    ``islice(Matcher(graph, enforce_rel_uniqueness).match(patterns, row), n)``.
+    """
+    op, _columns, _kinds = _compile_match(
+        ast.Match(tuple(patterns)), [], {}, enforce_rel_uniqueness
+    )
+    return op
 
 
 # -- WITH / RETURN compilation ---------------------------------------------

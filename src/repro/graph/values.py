@@ -269,8 +269,11 @@ def equivalence_key(value: Any):
     if _is_number(value):
         if isinstance(value, float) and math.isnan(value):
             return ("nan",)
-        # 1 and 1.0 are equivalent in Cypher.
-        return ("num", float(value), value == int(value) if not math.isinf(value) else False)
+        # Integers key by their exact int, floats by their float.  Python
+        # compares and hashes int against float exactly, so 1 and 1.0 (and
+        # 0.0 and -0.0) share a key, as Cypher equivalence requires, while
+        # distinct integers above 2**53 keep distinct keys.
+        return ("num", value)
     if isinstance(value, str):
         return ("str", value)
     if isinstance(value, list):

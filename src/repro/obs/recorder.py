@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.runtime.results import BugReport
 
@@ -77,6 +77,34 @@ def _execute_side(
         return _execute_side_unprobed(bundle, faults_enabled=faults_enabled)
     finally:
         PROBE.metrics, PROBE.tracer, PROBE.on = previous
+
+
+def _budgeted_side(
+    execute: Callable[..., Dict[str, Any]],
+    bundle: Dict[str, Any],
+    *,
+    faults_enabled: bool,
+    step_budget: Optional[int],
+) -> Dict[str, Any]:
+    """``execute(bundle)`` under the evaluation resource envelope.
+
+    The same envelope a campaign judgement runs under: a blown budget is an
+    error outcome with no fired fault, never an exception, and it is
+    deterministic (the envelope draws no randomness).  ``None`` runs
+    unbudgeted.  *execute* is :func:`_execute_side` as the caller's module
+    sees it, so a test can substitute a fake side.
+    """
+    from repro.engine.envelope import evaluation_budget
+    from repro.engine.errors import EvaluationBudgetExceeded
+
+    try:
+        with evaluation_budget(step_budget):
+            return execute(bundle, faults_enabled=faults_enabled)
+    except EvaluationBudgetExceeded as exc:
+        return {
+            "error": f"EvaluationBudgetExceeded: {exc}",
+            "fault_id": None,
+        }
 
 
 def _execute_side_unprobed(
@@ -218,6 +246,7 @@ class FlightRecorder:
         session_queries: Optional[int],
         query_index: int,
         statements: Optional[List[str]] = None,
+        step_budget: Optional[int] = None,
     ) -> Path:
         """Write the repro bundle for one newly-seen signature.
 
@@ -227,7 +256,9 @@ class FlightRecorder:
         ``statements`` is given the bundle is a v2 *sequence* bundle:
         ``graph`` must then be the round's pristine initial graph and the
         last statement is the discrepant one (``query`` mirrors it for
-        uniform display).
+        uniform display).  ``step_budget`` is the campaign's evaluation
+        step budget: both record-time replays and the inline reduction run
+        under it, so a pathological query costs one budget, not minutes.
         """
         bundle: Dict[str, Any] = {
             "format": BUNDLE_FORMAT_V2 if statements else BUNDLE_FORMAT,
@@ -251,8 +282,14 @@ class FlightRecorder:
         # Record-time self-replay: the stored expected/actual are produced
         # by the exact procedure `repro replay` re-runs, so a bundle is
         # reproducible by construction.
-        bundle["expected"] = _execute_side(bundle, faults_enabled=False)
-        bundle["actual"] = _execute_side(bundle, faults_enabled=True)
+        bundle["expected"] = _budgeted_side(
+            _execute_side, bundle, faults_enabled=False,
+            step_budget=step_budget,
+        )
+        bundle["actual"] = _budgeted_side(
+            _execute_side, bundle, faults_enabled=True,
+            step_budget=step_budget,
+        )
         bundle["discrepant"] = bundle["expected"] != bundle["actual"]
 
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -267,7 +304,8 @@ class FlightRecorder:
             from repro.reduce.runner import reduce_bundle
 
             outcome = reduce_bundle(
-                path, replay_budget=self.reduce_replay_budget
+                path, replay_budget=self.reduce_replay_budget,
+                step_budget=step_budget,
             )
             self.reductions.append(outcome.to_dict())
         return path
@@ -361,16 +399,25 @@ class ReplayOutcome:
         return "\n".join(lines)
 
 
-def replay_bundle(source: Union[str, Path, Dict[str, Any]]) -> ReplayOutcome:
+def replay_bundle(
+    source: Union[str, Path, Dict[str, Any]],
+    step_budget: Optional[int] = None,
+) -> ReplayOutcome:
     """Re-execute a bundle's query on replica engines and compare.
 
     Returns a :class:`ReplayOutcome`; ``outcome.reproduced`` asserts that
     both the expected and the actual side came out byte-identical to what
-    the recorder stored — the flight recorder's determinism contract.
+    the recorder stored — the flight recorder's determinism contract.  A
+    side recorded under a blown step budget reproduces only under the same
+    *step_budget*.
     """
     bundle = (
         source if isinstance(source, dict) else load_bundle(source)
     )
-    expected = _execute_side(bundle, faults_enabled=False)
-    actual = _execute_side(bundle, faults_enabled=True)
+    expected = _budgeted_side(
+        _execute_side, bundle, faults_enabled=False, step_budget=step_budget
+    )
+    actual = _budgeted_side(
+        _execute_side, bundle, faults_enabled=True, step_budget=step_budget
+    )
     return ReplayOutcome(bundle, expected, actual)

@@ -32,7 +32,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.obs.recorder import BUNDLE_FORMAT, BUNDLE_FORMAT_V2, _execute_side
+from repro.obs.recorder import (
+    BUNDLE_FORMAT,
+    BUNDLE_FORMAT_V2,
+    _budgeted_side,
+    _execute_side,
+)
 from repro.obs.triage import normalize_detail
 
 __all__ = ["ReductionOracle", "failure_shape"]
@@ -146,22 +151,15 @@ class ReductionOracle:
     def _side(
         self, candidate: Dict[str, Any], *, faults_enabled: bool
     ) -> Dict[str, Any]:
-        """One replay side under the evaluation resource envelope."""
-        from repro.engine.envelope import evaluation_budget
-        from repro.engine.errors import EvaluationBudgetExceeded
+        """One replay side under the evaluation resource envelope.
 
-        try:
-            with evaluation_budget(self.step_budget):
-                return _execute_side(candidate,
-                                     faults_enabled=faults_enabled)
-        except EvaluationBudgetExceeded as exc:
-            # A blown budget is an error outcome with no fired fault —
-            # guaranteed to miss the recorded signature, so the candidate
-            # is rejected without special-casing in the contract.
-            return {
-                "error": f"EvaluationBudgetExceeded: {exc}",
-                "fault_id": None,
-            }
+        A blown budget is an error outcome with no fired fault —
+        guaranteed to miss the recorded signature, so the candidate is
+        rejected without special-casing in the contract.
+        """
+        return _budgeted_side(_execute_side, candidate,
+                              faults_enabled=faults_enabled,
+                              step_budget=self.step_budget)
 
     def accepts(
         self,

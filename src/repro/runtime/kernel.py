@@ -424,6 +424,7 @@ class CampaignKernel:
             session_queries=session_queries,
             query_index=query_index,
             statements=statements,
+            step_budget=self.step_budget,
         )
         self.events.emit(
             "bundle",

@@ -360,3 +360,27 @@ class TestIntegration:
         err = capsys.readouterr().err
         assert "expected side(s) diverged" in err
         assert "FAILED to reproduce" in err
+
+
+class TestNonFiniteConstantBundle:
+    def test_bundle_with_infinite_constant_reproduces(self, tmp_path):
+        # The campaign gates faults on the synthesized tree; replay gates
+        # them on the printed text.  In this campaign a query holding an
+        # infinite float constant once had a tree whose features differed
+        # from its text's (a `Literal(inf)` prints as a division), so
+        # `falkordb-L1` fired in the campaign but not on replay, and the
+        # bundle never reproduced.
+        run_tool_campaign(
+            "GQS", "falkordb", budget_seconds=3600.0, seed=56176,
+            max_queries=32, execution_mode="compiled",
+            step_budget=1_000_000, gate_scale=0.2, record_triage=True,
+            bundle_dir=tmp_path,
+        )
+        path = tmp_path / "GQS-falkordb-56176-af10840881e6.json"
+        bundle = load_bundle(path)
+        assert bundle["signature"] == "falkordb:falkordb-L1"
+        assert bundle["discrepant"]
+        assert replay_bundle(path).reproduced
+        outcome = reduce_bundle(path, replay_budget=10,
+                                step_budget=1_000_000, write=False)
+        assert outcome.reproduced

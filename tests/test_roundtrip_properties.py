@@ -184,6 +184,42 @@ class TestSynthesizedQueryRoundTrip:
                 checked += 1
         assert checked == 200
 
+    def test_features_survive_the_round_trip(self):
+        """Fault-gating features are the same on the tree and its text.
+
+        The campaign gates faults on features of the synthesized tree; a
+        bundle replay gates them on the parsed text.  Non-finite float
+        constants once broke this (a ``Literal(inf)`` prints as a
+        division and parses back as one), so the seeds here are ones
+        whose first queries hold such constants.
+        """
+        import random
+
+        from repro.core import QuerySynthesizer
+        from repro.core.runner import synthesizer_config_for
+        from repro.gdb import create_engine
+        from repro.gdb.faults import extract_features
+        from repro.graph import GraphGenerator
+
+        non_finite = 0
+        for name in ("neo4j", "memgraph", "kuzu", "falkordb"):
+            engine = create_engine(name, faults_enabled=False)
+            for seed in (1, 5):
+                _schema, graph = GraphGenerator(
+                    seed=seed
+                ).generate_with_schema()
+                synthesizer = QuerySynthesizer(
+                    graph, rng=random.Random(seed),
+                    config=synthesizer_config_for(engine),
+                )
+                for _ in range(10):
+                    query = synthesizer.synthesize().query
+                    text = print_query(query)
+                    non_finite += "/ (0.0))" in text
+                    assert extract_features(query, text) == \
+                        extract_features(parse_query(text), text), text
+        assert non_finite > 0
+
     def test_parse_print_idempotent_on_write_statements(self):
         """The stateful synthesizer's write statements round-trip too.
 

@@ -182,6 +182,56 @@ class TestOracleStepBudget:
         assert ENVELOPE.limit is None
 
 
+class TestRecorderStepBudget:
+    def _record(self, tmp_path, step_budget):
+        from repro.graph.model import PropertyGraph
+        from repro.obs.recorder import FlightRecorder
+        from repro.runtime.results import BugReport
+
+        report = BugReport(tester="GQS", engine=ENGINE, kind="logic",
+                           detail="rows differ", query_text="RETURN 1",
+                           fault_id="f1", sim_time=0.0)
+        path = FlightRecorder(tmp_path).record(
+            signature="sig", tester="GQS", seed=0, report=report,
+            graph=PropertyGraph(), schema=None,
+            engine_spec={"name": ENGINE}, session_queries=None,
+            query_index=1, step_budget=step_budget,
+        )
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def test_blown_budget_is_an_error_outcome(self, tmp_path, monkeypatch):
+        def hungry_side(bundle, faults_enabled):
+            if ENVELOPE.limit is not None:
+                ENVELOPE.charge(10_000)
+            return {"rows": [[1]], "columns": ["a"], "fault_id": None}
+
+        monkeypatch.setattr("repro.obs.recorder._execute_side", hungry_side)
+        unbudgeted = self._record(tmp_path / "free", None)
+        assert unbudgeted["expected"]["rows"] == [[1]]
+        bundle = self._record(tmp_path / "budgeted", 5)
+        for side in ("expected", "actual"):
+            assert bundle[side]["error"].startswith("EvaluationBudgetExceeded")
+            assert bundle[side]["fault_id"] is None
+        assert ENVELOPE.limit is None
+
+    def test_kernel_records_under_its_budget(self, tmp_path, monkeypatch):
+        from repro.experiments.campaign import run_tool_campaign
+        from repro.obs.recorder import FlightRecorder
+
+        budgets = []
+        shipped = FlightRecorder.record
+
+        def spy(self, **kwargs):
+            budgets.append(kwargs.get("step_budget"))
+            return shipped(self, **kwargs)
+
+        monkeypatch.setattr(FlightRecorder, "record", spy)
+        run_tool_campaign("GQS", ENGINE, budget_seconds=6.0, gate_scale=0.05,
+                          record_triage=True, bundle_dir=tmp_path,
+                          step_budget=1_000_000)
+        assert budgets and set(budgets) == {1_000_000}
+
+
 # -- chaos configuration ----------------------------------------------------
 
 

@@ -1,8 +1,10 @@
 """Boundary cases of the value model that bit us during development."""
 
+import pytest
 
-
+from repro.gdb import create_engine
 from repro.graph import values as V
+from repro.graph.model import PropertyGraph
 
 
 class TestFloatBoundaries:
@@ -21,6 +23,40 @@ class TestFloatBoundaries:
 
     def test_large_int_vs_float(self):
         assert V.ternary_equals(2**53, float(2**53)) is True
+
+    def test_equivalence_key_keeps_large_integers_apart(self):
+        big = 2**62
+        assert V.equivalence_key(big + 1) != V.equivalence_key(big)
+        assert V.equivalence_key(float(big)) == V.equivalence_key(big)
+        assert V.equivalence_key(1) == V.equivalence_key(1.0)
+        assert V.equivalence_key(-0.0) == V.equivalence_key(0.0)
+        assert V.equivalence_key([big + 1]) != V.equivalence_key([big])
+        assert V.equivalence_key(float("nan")) == V.equivalence_key(
+            float("nan")
+        )
+        assert V.equivalence_key(float("inf")) != V.equivalence_key(
+            float("-inf")
+        )
+
+    @pytest.mark.parametrize("mode", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("query, rows", [
+        ("UNWIND [4611686018427387905, 4611686018427387904] AS x "
+         "RETURN DISTINCT x",
+         [(4611686018427387905,), (4611686018427387904,)]),
+        ("UNWIND [4611686018427387905, 4611686018427387904, "
+         "4611686018427387904.0] AS x RETURN x, count(*) AS c",
+         [(4611686018427387905, 1), (4611686018427387904, 2)]),
+        ("UNWIND [4611686018427387905, 4611686018427387904] AS x "
+         "RETURN count(DISTINCT x) AS c",
+         [(2,)]),
+        ("UNWIND [1, 1.0, 0.0, -0.0] AS x RETURN DISTINCT x",
+         [(1,), (0.0,)]),
+    ])
+    def test_distinct_and_grouping_on_large_integers(self, mode, query, rows):
+        engine = create_engine("neo4j", execution_mode=mode,
+                               faults_enabled=False)
+        engine.load_graph(PropertyGraph(), None)
+        assert engine.execute(query).rows == rows
 
     def test_equivalence_key_of_infinity_hashable(self):
         hash(V.equivalence_key(float("inf")))

@@ -19,7 +19,7 @@ Usage (also available as ``python -m repro``):
     repro report   events.jsonl [--out report.html] [--title T]
     repro coverage events.jsonl
     repro bugs     events.jsonl [--format text|json]
-    repro replay   bundle.json [bundle2.json ...] [--step-budget S]
+    repro replay   bundle.json [bundle2.json ...]
     repro reduce   bundle.json|DIR [...] [--jobs N] [--replay-budget R]
                    [--step-budget S]
     repro table    2|3|4|5|6
@@ -276,11 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument("bundles", nargs="+",
                         help="bundle JSON file(s) written with --bundles")
-    replay.add_argument(
-        "--step-budget", type=int, default=None, metavar="S",
-        help="evaluation step budget per replay side (use the campaign's "
-             "budget to reproduce a side recorded as a blown budget)",
-    )
 
     reduce = sub.add_parser(
         "reduce",
@@ -298,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reduce.add_argument(
         "--step-budget", type=int, default=None, metavar="S",
-        help="evaluation step budget per replay (a blown budget rejects "
-             "the candidate instead of hanging the reduction)",
+        help="evaluation step budget per replayed statement (a blown "
+             "budget rejects the candidate instead of hanging the "
+             "reduction); defaults to the bundle's recorded step_budget",
     )
 
     table = sub.add_parser("table", help="regenerate a table from the paper")
@@ -824,7 +820,7 @@ def _cmd_replay(args) -> int:
             print(f"no such bundle: {path}", file=sys.stderr)
             return 2
         try:
-            outcome = replay_bundle(path, step_budget=args.step_budget)
+            outcome = replay_bundle(path)
         except ValueError as exc:
             # Malformed/truncated bundle JSON: one-line diagnostic naming
             # the file and parse position, not an unhandled traceback.

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.runtime.results import BugReport
 
@@ -57,13 +57,21 @@ _KNOWN_FORMATS = (BUNDLE_FORMAT, BUNDLE_FORMAT_V2)
 
 
 def _execute_side(
-    bundle: Dict[str, Any], *, faults_enabled: bool
+    bundle: Dict[str, Any],
+    *,
+    faults_enabled: bool,
+    step_budget: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Run the bundle's query on a fresh replica engine; JSON-ready outcome.
 
     The *expected* side disables faults (reference semantics on the same
     dialect); the *actual* side replays the recorded fault configuration and
     session state.  Both are pure functions of the bundle contents.
+
+    Each statement runs under its own *step_budget*, as each campaign
+    judgement does.  A blown budget is an ``EvaluationBudgetExceeded``
+    error outcome with no fired fault, never an exception; ``None`` runs
+    unbudgeted.
     """
     from repro.obs.metrics import NULL_REGISTRY
     from repro.obs.probe import PROBE
@@ -74,43 +82,23 @@ def _execute_side(
     previous = (PROBE.metrics, PROBE.tracer, PROBE.on)
     PROBE.metrics, PROBE.tracer, PROBE.on = NULL_REGISTRY, NULL_TRACER, False
     try:
-        return _execute_side_unprobed(bundle, faults_enabled=faults_enabled)
+        return _execute_side_unprobed(
+            bundle, faults_enabled=faults_enabled, step_budget=step_budget
+        )
     finally:
         PROBE.metrics, PROBE.tracer, PROBE.on = previous
 
 
-def _budgeted_side(
-    execute: Callable[..., Dict[str, Any]],
-    bundle: Dict[str, Any],
-    *,
-    faults_enabled: bool,
-    step_budget: Optional[int],
-) -> Dict[str, Any]:
-    """``execute(bundle)`` under the evaluation resource envelope.
-
-    The same envelope a campaign judgement runs under: a blown budget is an
-    error outcome with no fired fault, never an exception, and it is
-    deterministic (the envelope draws no randomness).  ``None`` runs
-    unbudgeted.  *execute* is :func:`_execute_side` as the caller's module
-    sees it, so a test can substitute a fake side.
-    """
-    from repro.engine.envelope import evaluation_budget
-    from repro.engine.errors import EvaluationBudgetExceeded
-
-    try:
-        with evaluation_budget(step_budget):
-            return execute(bundle, faults_enabled=faults_enabled)
-    except EvaluationBudgetExceeded as exc:
-        return {
-            "error": f"EvaluationBudgetExceeded: {exc}",
-            "fault_id": None,
-        }
-
-
 def _execute_side_unprobed(
-    bundle: Dict[str, Any], *, faults_enabled: bool
+    bundle: Dict[str, Any], *, faults_enabled: bool, step_budget: Optional[int]
 ) -> Dict[str, Any]:
-    from repro.engine.errors import CypherError, DatabaseCrash, ResourceExhausted
+    from repro.engine.envelope import evaluation_budget
+    from repro.engine.errors import (
+        CypherError,
+        DatabaseCrash,
+        EvaluationBudgetExceeded,
+        ResourceExhausted,
+    )
     from repro.gdb.engines import EngineSpec
     from repro.graph.model import PropertyGraph
     from repro.graph.schema import GraphSchema
@@ -130,6 +118,24 @@ def _execute_side_unprobed(
     )
     engine.load_graph(graph, schema, restart=True)
 
+    def execute(statement: str):
+        with evaluation_budget(step_budget):
+            return engine.execute(statement)
+
+    def failure(exc: Exception) -> Dict[str, Any]:
+        # A blown budget is a harness condition, not a fault: it carries no
+        # fault id, so it can never match a recorded signature.
+        fired = engine.last_fired_fault
+        if isinstance(exc, EvaluationBudgetExceeded):
+            fired = None
+        return {
+            "error": f"{type(exc).__name__}: {exc}",
+            "fault_id": fired.fault_id if fired else None,
+        }
+
+    failures = (
+        DatabaseCrash, ResourceExhausted, CypherError, EvaluationBudgetExceeded
+    )
     statements = bundle.get("statements")
     if statements:
         # v2 sequence replay: the round restarted the engine, so session
@@ -140,15 +146,10 @@ def _execute_side_unprobed(
         last_result = None
         for index, statement in enumerate(statements):
             try:
-                last_result = engine.execute(statement)
-            except (DatabaseCrash, ResourceExhausted, CypherError) as exc:
+                last_result = execute(statement)
+            except failures as exc:
                 return {
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "fault_id": (
-                        engine.last_fired_fault.fault_id
-                        if engine.last_fired_fault
-                        else None
-                    ),
+                    **failure(exc),
                     "statement_index": index,
                     "state": state_summary(engine.graph),
                 }
@@ -169,16 +170,9 @@ def _execute_side_unprobed(
         # recorded query, so session-gated faults (§5.4.4) refire.
         engine.queries_since_restart = int(bundle["session_queries"]) - 1
     try:
-        result = engine.execute(bundle["query"])
-    except (DatabaseCrash, ResourceExhausted, CypherError) as exc:
-        return {
-            "error": f"{type(exc).__name__}: {exc}",
-            "fault_id": (
-                engine.last_fired_fault.fault_id
-                if engine.last_fired_fault
-                else None
-            ),
-        }
+        result = execute(bundle["query"])
+    except failures as exc:
+        return failure(exc)
     return {
         "columns": list(result.columns),
         "rows": result.to_table(engine.dialect),
@@ -188,6 +182,26 @@ def _execute_side_unprobed(
             else None
         ),
     }
+
+
+def record_sides(bundle: Dict[str, Any], step_budget: Optional[int]) -> None:
+    """Store both sides of *bundle* as :func:`replay_bundle` re-runs them.
+
+    The stored expected/actual come from the exact replay procedure, so a
+    bundle is reproducible by construction.  When a side blew
+    *step_budget*, the budget is stored too (``step_budget``): replay and
+    reduction read it from there.  A side that finished under the budget
+    replays identically without one, so other bundles do not carry it.
+    """
+    for side, faults_enabled in (("expected", False), ("actual", True)):
+        bundle[side] = _execute_side(
+            bundle, faults_enabled=faults_enabled, step_budget=step_budget
+        )
+        if bundle[side].get("error", "").startswith(
+            "EvaluationBudgetExceeded"
+        ):
+            bundle["step_budget"] = step_budget
+    bundle["discrepant"] = bundle["expected"] != bundle["actual"]
 
 
 class FlightRecorder:
@@ -257,7 +271,7 @@ class FlightRecorder:
         ``graph`` must then be the round's pristine initial graph and the
         last statement is the discrepant one (``query`` mirrors it for
         uniform display).  ``step_budget`` is the campaign's evaluation
-        step budget: both record-time replays and the inline reduction run
+        step budget: the record-time replays and the inline reduction run
         under it, so a pathological query costs one budget, not minutes.
         """
         bundle: Dict[str, Any] = {
@@ -279,18 +293,7 @@ class FlightRecorder:
         }
         if statements:
             bundle["statements"] = list(statements)
-        # Record-time self-replay: the stored expected/actual are produced
-        # by the exact procedure `repro replay` re-runs, so a bundle is
-        # reproducible by construction.
-        bundle["expected"] = _budgeted_side(
-            _execute_side, bundle, faults_enabled=False,
-            step_budget=step_budget,
-        )
-        bundle["actual"] = _budgeted_side(
-            _execute_side, bundle, faults_enabled=True,
-            step_budget=step_budget,
-        )
-        bundle["discrepant"] = bundle["expected"] != bundle["actual"]
+        record_sides(bundle, step_budget)
 
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.bundle_path(tester, report.engine, seed, signature)
@@ -399,25 +402,20 @@ class ReplayOutcome:
         return "\n".join(lines)
 
 
-def replay_bundle(
-    source: Union[str, Path, Dict[str, Any]],
-    step_budget: Optional[int] = None,
-) -> ReplayOutcome:
+def replay_bundle(source: Union[str, Path, Dict[str, Any]]) -> ReplayOutcome:
     """Re-execute a bundle's query on replica engines and compare.
 
     Returns a :class:`ReplayOutcome`; ``outcome.reproduced`` asserts that
     both the expected and the actual side came out byte-identical to what
-    the recorder stored — the flight recorder's determinism contract.  A
-    side recorded under a blown step budget reproduces only under the same
-    *step_budget*.
+    the recorder stored — the flight recorder's determinism contract.  Both
+    sides run under the bundle's recorded ``step_budget``, if it has one.
     """
     bundle = (
         source if isinstance(source, dict) else load_bundle(source)
     )
-    expected = _budgeted_side(
-        _execute_side, bundle, faults_enabled=False, step_budget=step_budget
+    step_budget = bundle.get("step_budget")
+    expected = _execute_side(
+        bundle, faults_enabled=False, step_budget=step_budget
     )
-    actual = _budgeted_side(
-        _execute_side, bundle, faults_enabled=True, step_budget=step_budget
-    )
+    actual = _execute_side(bundle, faults_enabled=True, step_budget=step_budget)
     return ReplayOutcome(bundle, expected, actual)

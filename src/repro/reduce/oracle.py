@@ -32,12 +32,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.obs.recorder import (
-    BUNDLE_FORMAT,
-    BUNDLE_FORMAT_V2,
-    _budgeted_side,
-    _execute_side,
-)
+from repro.obs.recorder import BUNDLE_FORMAT, BUNDLE_FORMAT_V2, _execute_side
 from repro.obs.triage import normalize_detail
 
 __all__ = ["ReductionOracle", "failure_shape"]
@@ -87,7 +82,11 @@ class ReductionOracle:
         #: error outcome, which cannot match the recorded signature, so
         #: pathological candidates are rejected instead of hanging the
         #: reduction (deterministically: the envelope draws no randomness).
-        self.step_budget = step_budget
+        #: Defaults to the budget the bundle was recorded under, if any.
+        self.step_budget = (
+            step_budget if step_budget is not None
+            else bundle.get("step_budget")
+        )
         self.signature = bundle.get("signature")
         self.fault_id = bundle.get("fault_id")
         self._expected_shape = failure_shape(bundle.get("expected", {}))
@@ -157,9 +156,8 @@ class ReductionOracle:
         guaranteed to miss the recorded signature, so the candidate is
         rejected without special-casing in the contract.
         """
-        return _budgeted_side(_execute_side, candidate,
-                              faults_enabled=faults_enabled,
-                              step_budget=self.step_budget)
+        return _execute_side(candidate, faults_enabled=faults_enabled,
+                             step_budget=self.step_budget)
 
     def accepts(
         self,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.recorder import load_bundle
+from repro.obs.recorder import load_bundle, record_sides
 from repro.reduce.graph import graph_sizes, shrink_graph
 from repro.reduce.oracle import ReductionOracle
 from repro.reduce.query import reduce_query
@@ -122,8 +122,9 @@ def reduce_bundle(
     requires an explicit *min_path* to write.  *replay_budget* caps replica
     executions (see :class:`ReductionOracle`) — reduction degrades to
     best-so-far, never to an unreproducible output.  *step_budget* bounds
-    evaluation steps per replay through the shared resource envelope, so a
-    pathological candidate costs one rejected check, not a hung reduction.
+    evaluation steps per replayed statement through the shared resource
+    envelope, so a pathological candidate costs one rejected check, not a
+    hung reduction; it defaults to the budget recorded in the bundle.
     """
     if isinstance(source, dict):
         bundle, source_name = source, "<memory>"
@@ -187,9 +188,7 @@ def reduce_bundle(
     # same step budget as the oracle's checks), so the minimized bundle is
     # — like the original — reproducible by construction
     # (`repro replay foo.min.json`).
-    minimized["expected"] = oracle._side(minimized, faults_enabled=False)
-    minimized["actual"] = oracle._side(minimized, faults_enabled=True)
-    minimized["discrepant"] = minimized["expected"] != minimized["actual"]
+    record_sides(minimized, oracle.step_budget)
     oracle.replays += 2
 
     outcome.reduced = bundle_sizes(minimized)

@@ -41,6 +41,37 @@ def run_stateful(engine_name, recorder=None, budget=BUDGET, ratio=0.6):
     return kernel.run(tester, engine, budget, seed=SEED)
 
 
+def statement_costs(bundle, *, faults_enabled):
+    """Evaluation steps each statement of a v2 bundle's side costs."""
+    from repro.engine.envelope import evaluation_budget
+    from repro.engine.errors import (
+        CypherError,
+        DatabaseCrash,
+        ResourceExhausted,
+    )
+    from repro.gdb.engines import EngineSpec
+    from repro.graph.model import PropertyGraph
+    from repro.graph.schema import GraphSchema
+
+    spec = bundle["engine_spec"]
+    engine = EngineSpec(
+        spec["name"], faults_enabled=faults_enabled,
+        gate_scale=spec["gate_scale"], execution_mode=spec["execution_mode"],
+    ).create()
+    engine.load_graph(PropertyGraph.from_dict(bundle["graph"]),
+                      GraphSchema.from_dict(bundle["schema"]), restart=True)
+    costs = []
+    for statement in bundle["statements"]:
+        with evaluation_budget(10**9) as envelope:
+            try:
+                engine.execute(statement)
+            except (CypherError, DatabaseCrash, ResourceExhausted):
+                costs.append(envelope.steps)
+                break
+            costs.append(envelope.steps)
+    return costs
+
+
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
     """One four-engine stateful campaign with the flight recorder on."""
@@ -115,6 +146,49 @@ class TestSequenceBundles:
         path = sorted(bundle_dir.glob("*.json"))[0]
         description = replay_bundle(load_bundle(path)).describe()
         assert "sequence" in description
+
+    def test_record_budget_is_per_statement(self, recorded, tmp_path):
+        """Record-time replays give each statement a fresh step budget, as
+        the campaign gives each judgement one: a sequence whose statements
+        each fit the budget, though their sum does not, records the same
+        discrepant sides as an unbudgeted recording."""
+        from repro.graph.model import PropertyGraph
+        from repro.graph.schema import GraphSchema
+        from repro.runtime.results import BugReport
+
+        bundle_dir, _results = recorded
+        bundle = max(
+            (load_bundle(path) for path in sorted(bundle_dir.glob("*.json"))),
+            key=lambda b: (b["discrepant"], len(b["statements"])),
+        )
+        assert bundle["discrepant"] and len(bundle["statements"]) > 2
+        costs = {side: statement_costs(bundle, faults_enabled=side)
+                 for side in (False, True)}
+        budget = max(max(c) for c in costs.values())
+        assert max(sum(c) for c in costs.values()) > budget
+
+        report = BugReport(
+            tester=bundle["tester"], engine=bundle["engine"],
+            kind=bundle["kind"], detail=bundle["detail"],
+            query_text=bundle["query"], fault_id=bundle["fault_id"],
+            sim_time=bundle["sim_time"],
+        )
+        path = FlightRecorder(tmp_path).record(
+            signature=bundle["signature"], tester=bundle["tester"],
+            seed=bundle["cell_seed"], report=report,
+            graph=PropertyGraph.from_dict(bundle["graph"]),
+            schema=GraphSchema.from_dict(bundle["schema"]),
+            engine_spec=bundle["engine_spec"],
+            session_queries=bundle["session_queries"],
+            query_index=bundle["query_index"],
+            statements=bundle["statements"], step_budget=budget,
+        )
+        budgeted = load_bundle(path)
+        assert budgeted["discrepant"]
+        assert budgeted["expected"] == bundle["expected"]
+        assert budgeted["actual"] == bundle["actual"]
+        assert "step_budget" not in budgeted
+        assert replay_bundle(path).reproduced
 
     def test_v1_bundles_still_record_and_replay(self, tmp_path):
         """A read-only GQS campaign keeps producing v1 bundles."""

@@ -156,23 +156,26 @@ class TestKernelStepBudget:
         assert campaign_from_dict(data).harness_errors == 0
 
 
-class TestOracleStepBudget:
-    BUNDLE = {"format": "gqs-bundle/1", "signature": "sig", "fault_id": "f1"}
+@pytest.fixture(scope="module")
+def bundle_path(tmp_path_factory):
+    """One real repro bundle from a small fault-injection campaign."""
+    from repro.experiments.campaign import run_tool_campaign
 
-    def test_budget_blown_replay_rejects_candidate(self, monkeypatch):
+    directory = tmp_path_factory.mktemp("bundles")
+    run_tool_campaign("GQS", ENGINE, budget_seconds=2.0, gate_scale=0.05,
+                      record_triage=True, bundle_dir=directory)
+    return sorted(directory.glob("*.json"))[0]
+
+
+class TestOracleStepBudget:
+    def test_budget_blown_replay_rejects_candidate(self, bundle_path):
+        from repro.obs.recorder import load_bundle
         from repro.reduce import ReductionOracle
 
-        def hungry_side(candidate, faults_enabled):
-            if ENVELOPE.limit is not None:
-                ENVELOPE.charge(10_000)
-            return {"rows": [[1]], "columns": ["a"],
-                    "fault_id": "f1" if faults_enabled else None}
-
-        monkeypatch.setattr("repro.reduce.oracle._execute_side",
-                            hungry_side)
-        unbudgeted = ReductionOracle(dict(self.BUNDLE))
+        bundle = load_bundle(bundle_path)
+        unbudgeted = ReductionOracle(bundle)
         assert unbudgeted.accepts() is True
-        budgeted = ReductionOracle(dict(self.BUNDLE), step_budget=5)
+        budgeted = ReductionOracle(bundle, step_budget=5)
         sides = budgeted.outcome()
         assert sides["actual"]["error"].startswith(
             "EvaluationBudgetExceeded"
@@ -181,37 +184,52 @@ class TestOracleStepBudget:
         assert budgeted.accepts() is False
         assert ENVELOPE.limit is None
 
+    def test_recorded_budget_is_the_default(self, bundle_path):
+        from repro.obs.recorder import load_bundle
+        from repro.reduce import ReductionOracle
+
+        bundle = dict(load_bundle(bundle_path), step_budget=5)
+        assert ReductionOracle(bundle).step_budget == 5
+        assert ReductionOracle(bundle).accepts() is False
+        assert ReductionOracle(bundle, step_budget=10**9).accepts() is True
+
 
 class TestRecorderStepBudget:
-    def _record(self, tmp_path, step_budget):
+    QUERY = "UNWIND range(1, 50) AS x RETURN count(x) AS n"
+
+    def _record(self, directory, step_budget):
         from repro.graph.model import PropertyGraph
         from repro.obs.recorder import FlightRecorder
         from repro.runtime.results import BugReport
 
         report = BugReport(tester="GQS", engine=ENGINE, kind="logic",
-                           detail="rows differ", query_text="RETURN 1",
-                           fault_id="f1", sim_time=0.0)
-        path = FlightRecorder(tmp_path).record(
+                           detail="rows differ", query_text=self.QUERY,
+                           fault_id=None, sim_time=0.0)
+        return FlightRecorder(directory).record(
             signature="sig", tester="GQS", seed=0, report=report,
             graph=PropertyGraph(), schema=None,
             engine_spec={"name": ENGINE}, session_queries=None,
             query_index=1, step_budget=step_budget,
         )
-        return json.loads(path.read_text(encoding="utf-8"))
 
-    def test_blown_budget_is_an_error_outcome(self, tmp_path, monkeypatch):
-        def hungry_side(bundle, faults_enabled):
-            if ENVELOPE.limit is not None:
-                ENVELOPE.charge(10_000)
-            return {"rows": [[1]], "columns": ["a"], "fault_id": None}
+    def test_blown_budget_is_an_error_outcome(self, tmp_path):
+        from repro.obs.recorder import load_bundle, replay_bundle
 
-        monkeypatch.setattr("repro.obs.recorder._execute_side", hungry_side)
-        unbudgeted = self._record(tmp_path / "free", None)
-        assert unbudgeted["expected"]["rows"] == [[1]]
-        bundle = self._record(tmp_path / "budgeted", 5)
+        for budget in (None, 1_000_000):
+            bundle = load_bundle(self._record(tmp_path / str(budget), budget))
+            assert bundle["expected"]["rows"] == bundle["actual"]["rows"]
+            assert "error" not in bundle["expected"]
+            # A budget that decided nothing is not stored.
+            assert "step_budget" not in bundle
+        path = self._record(tmp_path / "blown", 5)
+        bundle = load_bundle(path)
         for side in ("expected", "actual"):
             assert bundle[side]["error"].startswith("EvaluationBudgetExceeded")
             assert bundle[side]["fault_id"] is None
+        assert bundle["step_budget"] == 5
+        # Replay reads the budget from the bundle, so the blown sides
+        # reproduce without the user knowing it.
+        assert replay_bundle(path).reproduced
         assert ENVELOPE.limit is None
 
     def test_kernel_records_under_its_budget(self, tmp_path, monkeypatch):
